@@ -6,7 +6,9 @@
 //!
 //! Exits 0 when every gated kernel median in `current` is within its
 //! noise-aware threshold of `baseline` (see `airshed_bench::check`),
-//! 1 on a regression, 2 on usage/parse errors. `--inject` multiplies a
+//! 1 on a regression, 2 on usage/parse errors and when the documents
+//! come from different hosts (the comparison is refused, naming the
+//! differing host field). `--inject` multiplies a
 //! key in the *current* document before comparing — the gate's own
 //! negative test (`scripts/ci.sh` proves a 2x chemistry slowdown fails
 //! without re-measuring anything).
@@ -14,7 +16,7 @@
 use airshed_bench::check::{compare, flatten_bench_json, inject};
 use std::process::ExitCode;
 
-fn run() -> Result<bool, String> {
+fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths = Vec::new();
     let mut injections = Vec::new();
@@ -30,7 +32,7 @@ fn run() -> Result<bool, String> {
                 println!(
                     "usage: bench_check <baseline.json> <current.json> [--inject key=factor]..."
                 );
-                return Ok(true);
+                return Ok(ExitCode::SUCCESS);
             }
             _ => paths.push(a.clone()),
         }
@@ -53,13 +55,18 @@ fn run() -> Result<bool, String> {
     }
     let report = compare(&baseline, &current);
     print!("{report}");
-    Ok(report.ok())
+    Ok(if report.host_mismatch.is_some() {
+        ExitCode::from(2)
+    } else if report.ok() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)

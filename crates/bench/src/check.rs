@@ -16,9 +16,11 @@
 //! CPU frequency), the absolute slack keeps microsecond-scale medians
 //! from tripping on scheduler jitter. Derived ratios (speedups,
 //! throughput scaling) are deliberately ungated: they are quotients of
-//! gated quantities and would double-count regressions. When the two
-//! documents report different `host_threads`, gating is skipped
-//! entirely — cross-host comparisons are not regressions.
+//! gated quantities and would double-count regressions. The two
+//! documents must come from the same host: when `host_threads`,
+//! `host_physical_threads` or any `cpu_features` flag differs, the
+//! comparison is refused — numbers from another host are neither a
+//! pass nor a regression, and the fix is to re-baseline on this one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -224,23 +226,42 @@ pub struct CheckReport {
     /// adding a benchmark must not break the gate retroactively).
     pub unmatched: Vec<String>,
     pub regressions: Vec<Regression>,
-    /// Gating was skipped because the documents came from hosts with
-    /// different thread counts.
-    pub skipped_host_mismatch: bool,
+    /// The comparison was refused because the documents came from
+    /// different hosts; nothing was gated.
+    pub host_mismatch: Option<HostMismatch>,
+}
+
+/// The first host-identity field on which baseline and current differ
+/// (`None` when the field is absent from that document).
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostMismatch {
+    pub key: String,
+    pub baseline: Option<f64>,
+    pub current: Option<f64>,
 }
 
 impl CheckReport {
     pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
+        self.host_mismatch.is_none() && self.regressions.is_empty()
     }
+}
+
+/// Keys that identify the host a bench document was measured on.
+fn is_host_key(key: &str) -> bool {
+    key == "host_threads" || key == "host_physical_threads" || key.starts_with("cpu_features.")
 }
 
 impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.skipped_host_mismatch {
+        if let Some(m) = &self.host_mismatch {
+            let show = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
             return writeln!(
                 f,
-                "bench check: SKIPPED (host_threads differ between baseline and current)"
+                "bench check: REFUSED — host field `{}` differs (baseline {}, current {}); \
+                 numbers from different hosts are not comparable, re-baseline on this host",
+                m.key,
+                show(m.baseline),
+                show(m.current)
             );
         }
         for r in &self.regressions {
@@ -260,13 +281,22 @@ impl fmt::Display for CheckReport {
 
 /// Compare flattened current numbers against the baseline.
 pub fn compare(baseline: &BTreeMap<String, f64>, current: &BTreeMap<String, f64>) -> CheckReport {
-    let host = |m: &BTreeMap<String, f64>| m.get("host_threads").copied();
-    if host(baseline).is_some() && host(baseline) != host(current) {
+    let host_mismatch = baseline
+        .keys()
+        .chain(current.keys())
+        .filter(|k| is_host_key(k))
+        .find(|&k| baseline.get(k) != current.get(k))
+        .map(|k| HostMismatch {
+            key: k.clone(),
+            baseline: baseline.get(k).copied(),
+            current: current.get(k).copied(),
+        });
+    if host_mismatch.is_some() {
         return CheckReport {
             passed: 0,
             unmatched: Vec::new(),
             regressions: Vec::new(),
-            skipped_host_mismatch: true,
+            host_mismatch,
         };
     }
     let mut passed = 0;
@@ -299,7 +329,7 @@ pub fn compare(baseline: &BTreeMap<String, f64>, current: &BTreeMap<String, f64>
         passed,
         unmatched,
         regressions,
-        skipped_host_mismatch: false,
+        host_mismatch: None,
     }
 }
 
@@ -328,6 +358,7 @@ mod tests {
 
     const DOC: &str = r#"{
   "host_threads": 1,
+  "host_physical_threads": 1,
   "cpu_features": { "avx2": 1, "fma": 1 },
   "la_hour": { "serial_s": 6.0, "rayon4_s": 6.1, "simd4_s": 3.1, "speedup_rayon4": 0.98 },
   "la_hour_phase_median_us": { "chemistry": 1000000.0, "transport": 42000.0, "aerosol": 207.4 },
@@ -344,7 +375,7 @@ mod tests {
         assert_eq!(m["workspace_hoisting.yb_speedup"], 1.03);
         assert_eq!(m["cpu_features.fma"], 1.0);
         assert_eq!(m["la_hour_phase_median_us_simd.chemistry"], 400_000.0);
-        assert_eq!(m.len(), 14);
+        assert_eq!(m.len(), 15);
         // Real bench output round-trips too.
         assert!(flatten_bench_json("{\n}\n").unwrap().is_empty());
         assert!(flatten_bench_json("{ \"a\": [1] }").is_err());
@@ -384,10 +415,6 @@ mod tests {
         inject(&mut cur, "la_hour_phase_median_us_simd.chemistry=2.0").unwrap();
         let report = compare(&base, &cur);
         assert_eq!(report.regressions.len(), 2);
-        // CPU feature flags are facts, not timings — never gated.
-        let mut cur = base.clone();
-        inject(&mut cur, "cpu_features.fma=0.0").unwrap();
-        assert!(compare(&base, &cur).ok());
     }
 
     #[test]
@@ -405,15 +432,34 @@ mod tests {
     }
 
     #[test]
-    fn host_mismatch_skips_gating() {
+    fn host_mismatch_refuses_comparison() {
         let base = flatten_bench_json(DOC).unwrap();
+        // Each host-identity field alone refuses, even with timings that
+        // would pass or fail the gate, and the message names the field.
+        for (field, spec) in [
+            ("host_threads", "host_threads=8.0"),
+            ("host_physical_threads", "host_physical_threads=2.0"),
+            ("cpu_features.fma", "cpu_features.fma=0.0"),
+        ] {
+            for timing in [
+                "la_hour.serial_s=1.0",
+                "la_hour_phase_median_us.chemistry=10.0",
+            ] {
+                let mut cur = base.clone();
+                inject(&mut cur, spec).unwrap();
+                inject(&mut cur, timing).unwrap();
+                let report = compare(&base, &cur);
+                assert_eq!(report.host_mismatch.as_ref().unwrap().key, field);
+                assert!(!report.ok(), "{field}: cross-host numbers must be refused");
+                let text = report.to_string();
+                assert!(text.contains("REFUSED") && text.contains(field), "{text}");
+            }
+        }
+        // A feature flag present on one host only is a difference too.
         let mut cur = base.clone();
-        inject(&mut cur, "host_threads=8.0").unwrap();
-        inject(&mut cur, "la_hour_phase_median_us.chemistry=10.0").unwrap();
-        let report = compare(&base, &cur);
-        assert!(report.skipped_host_mismatch);
-        assert!(report.ok(), "cross-host numbers must not fail the gate");
-        assert!(report.to_string().contains("SKIPPED"));
+        cur.insert("cpu_features.avx512f".into(), 1.0);
+        let m = compare(&base, &cur).host_mismatch.unwrap();
+        assert_eq!((m.baseline, m.current), (None, Some(1.0)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::profile::{HourProfile, StepProfile, WorkProfile};
 use crate::report::{CopyBytes, RunReport};
 use crate::state::SimState;
 use airshed_hpf::dist::Distribution;
-use airshed_hpf::redist::{airshed_redists, labels, plan, AirshedRedists, RedistPlan};
+use airshed_hpf::redist::{labels, plan, AirshedRedists, RedistPlan};
 use airshed_machine::{Machine, MachineProfile};
 
 /// Machine word size — 8 bytes on all three paper machines.
@@ -135,31 +135,24 @@ impl HourPlans {
         Self::with_layouts(shape, p, PlanLayouts::chem(chem_layout))
     }
 
-    /// Plans for an explicit per-phase layout choice: every edge touching
-    /// a non-default phase distribution is re-planned from the chosen
-    /// distributions. With the default (all-`BLOCK`) layouts this builds
-    /// exactly the paper's plans, bit for bit.
+    /// Plans for an explicit per-phase layout choice: each of the four
+    /// edges is planned once, from the chosen distributions. With the
+    /// default (all-`BLOCK`) layouts this builds exactly the paper's
+    /// plans, bit for bit.
     pub fn with_layouts(shape: &[usize; 3], p: usize, layouts: PlanLayouts) -> HourPlans {
-        let mut main = airshed_redists(shape, p, WORD);
+        let d_repl = Distribution::replicated(3);
         let d_trans = layouts.transport.distribution_on(1);
         let d_chem = layouts.chemistry.distribution_on(2);
-        if layouts.transport != ChemLayout::Block {
-            let mut r2t = plan(shape, &Distribution::replicated(3), &d_trans, p, WORD);
-            r2t.label = labels::REPL_TO_TRANS;
-            main.repl_to_trans = r2t;
-        }
-        if layouts.transport != ChemLayout::Block || layouts.chemistry != ChemLayout::Block {
-            let mut t2c = plan(shape, &d_trans, &d_chem, p, WORD);
-            t2c.label = labels::TRANS_TO_CHEM;
-            main.trans_to_chem = t2c;
-        }
-        if layouts.chemistry != ChemLayout::Block {
-            let mut c2r = plan(shape, &d_chem, &Distribution::replicated(3), p, WORD);
-            c2r.label = labels::CHEM_TO_REPL;
-            main.chem_to_repl = c2r;
-        }
-        let mut trans_to_repl = plan(shape, &d_trans, &Distribution::replicated(3), p, WORD);
-        trans_to_repl.label = labels::TRANS_TO_REPL;
+        let edge = |src: &Distribution, dst: &Distribution, label| RedistPlan {
+            label,
+            ..plan(shape, src, dst, p, WORD)
+        };
+        let main = AirshedRedists {
+            repl_to_trans: edge(&d_repl, &d_trans, labels::REPL_TO_TRANS),
+            trans_to_chem: edge(&d_trans, &d_chem, labels::TRANS_TO_CHEM),
+            chem_to_repl: edge(&d_chem, &d_repl, labels::CHEM_TO_REPL),
+        };
+        let trans_to_repl = edge(&d_trans, &d_repl, labels::TRANS_TO_REPL);
         HourPlans {
             shape: *shape,
             main,

@@ -108,6 +108,10 @@ impl Inner {
     }
 
     fn stop(&self) {
+        // Set `done` under the queue lock: a worker between its `done`
+        // check and its wait in `pop` would otherwise miss this wakeup
+        // and block forever, hanging the shard's final join.
+        let _queue = self.queue.lock().unwrap();
         self.done.store(true, Ordering::Relaxed);
         self.ready.notify_all();
     }

@@ -152,9 +152,32 @@ impl Distribution {
         }
     }
 
-    /// Number of elements `node` owns.
+    /// Number of elements `node` owns: the product of its per-dimension
+    /// owned lengths, each in closed form, so no range list is built.
     pub fn owned_volume(&self, shape: &[usize], p: usize, node: usize) -> usize {
-        self.owned(shape, p, node).volume()
+        assert_eq!(shape.len(), self.ndims());
+        (0..self.ndims())
+            .map(|d| self.owned_len(d, shape[d], p, node))
+            .product()
+    }
+
+    /// Total length of the ranges [`Distribution::owned_dim`] returns.
+    fn owned_len(&self, dim: usize, n: usize, p: usize, node: usize) -> usize {
+        assert!(node < p);
+        match self.dims[dim] {
+            DimDist::Collapsed => n,
+            DimDist::Block => {
+                let b = n.div_ceil(p).max(1);
+                ((node + 1) * b).min(n).saturating_sub(node * b)
+            }
+            DimDist::Cyclic => n.saturating_sub(node).div_ceil(p),
+            DimDist::BlockCyclic(b) => {
+                // `b` per full cycle of `b·p`, plus this node's share of
+                // the trailing partial cycle.
+                let cycle = b * p;
+                (n / cycle) * b + (n % cycle).saturating_sub(node * b).min(b)
+            }
+        }
     }
 
     /// Unique owner of a global index under this distribution, or `None`

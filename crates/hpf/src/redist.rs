@@ -5,13 +5,17 @@
 //! distribution (if the source is replicated, every receiver already holds
 //! the data and only pays a local copy to the new layout). Each receiver
 //! needs its owned region under the destination distribution. Overlap
-//! volumes are computed dimension-wise (range-list intersections), so
-//! planning is `O(P² · ndims)` — independent of the array size.
+//! volumes are computed dimension-wise (range-list intersections), and
+//! only nodes that own data take part in the pairwise walk: with `S`
+//! source and `R` destination owners, planning costs `O(P + S·R)`
+//! range-list intersections, independent of the array size. Airshed's
+//! transport distribution has at most `layers` owners, so pricing a
+//! placement grows linearly in `P`.
 //!
 //! The resulting per-node loads reproduce the paper's three §4.2
 //! redistribution cost equations exactly (see the tests).
 
-use crate::dist::Distribution;
+use crate::dist::{Distribution, OwnedRegion};
 use airshed_machine::cost::NodeCommLoad;
 
 /// Canonical labels of the Airshed redistribution edges. The driver, the
@@ -182,13 +186,16 @@ pub fn plan(
 
     // Source has unique owners. Each receiver r needs its dst region; the
     // part it already owns under src is a local copy, the rest arrives
-    // from the unique src owners.
-    let src_regions: Vec<_> = (0..p).map(|n| src.owned(shape, p, n)).collect();
-    let dst_regions: Vec<_> = (0..p).map(|n| dst.owned(shape, p, n)).collect();
+    // from the unique src owners. A node owning nothing on a side has no
+    // overlap with anyone there, so the walk visits owner pairs only
+    // (sender-major, receiver-minor, as a full P×P walk would).
+    let src_owners = owned_regions(shape, src, p);
+    let dst_owners = owned_regions(shape, dst, p);
 
-    for s in 0..p {
-        for r in 0..p {
-            let vol = src_regions[s].intersection_volume(&dst_regions[r]);
+    for (s, src_region) in &src_owners {
+        for (r, dst_region) in &dst_owners {
+            let (s, r) = (*s, *r);
+            let vol = src_region.intersection_volume(dst_region);
             if vol == 0 {
                 continue;
             }
@@ -200,7 +207,7 @@ pub fn plan(
                 // the transfer: a BLOCK↔BLOCK overlap is one message,
                 // while interleaved (CYCLIC) ownership shatters the same
                 // bytes into strided pieces, each paying its own `L`.
-                let msgs = src_regions[s].intersection_fragments(&dst_regions[r]);
+                let msgs = src_region.intersection_fragments(dst_region);
                 loads[s].msgs_sent += msgs;
                 loads[s].bytes_sent += bytes;
                 loads[r].msgs_recv += msgs;
@@ -218,6 +225,15 @@ pub fn plan(
         transfers,
         label: "dist->dist",
     }
+}
+
+/// The nodes that own data under `dist`, in ascending order, with their
+/// owned regions.
+fn owned_regions(shape: &[usize], dist: &Distribution, p: usize) -> Vec<(usize, OwnedRegion)> {
+    (0..p)
+        .filter(|&n| dist.owned_volume(shape, p, n) > 0)
+        .map(|n| (n, dist.owned(shape, p, n)))
+        .collect()
 }
 
 /// Convenience: the three Airshed redistributions for a concentration

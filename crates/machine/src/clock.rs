@@ -7,6 +7,8 @@
 //! independently, which is what lets pipelined stages overlap in virtual
 //! time.
 
+use std::borrow::Borrow;
+
 /// Virtual clocks for `p` nodes, in seconds.
 #[derive(Debug, Clone)]
 pub struct NodeClocks {
@@ -52,14 +54,20 @@ impl NodeClocks {
         m
     }
 
-    /// Barrier over a subgroup of nodes; returns the subgroup maximum.
-    pub fn barrier_group(&mut self, group: &[usize]) -> f64 {
+    /// Barrier over a subgroup of nodes (a slice of ids, or a range such
+    /// as `0..p`); returns the subgroup maximum.
+    pub fn barrier_group<G>(&mut self, group: G) -> f64
+    where
+        G: IntoIterator + Clone,
+        G::Item: Borrow<usize>,
+    {
         let m = group
-            .iter()
-            .map(|&n| self.t[n])
+            .clone()
+            .into_iter()
+            .map(|n| self.t[*n.borrow()])
             .fold(f64::NEG_INFINITY, f64::max);
-        for &n in group {
-            self.t[n] = m;
+        for n in group {
+            self.t[*n.borrow()] = m;
         }
         m
     }

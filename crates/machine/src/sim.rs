@@ -7,6 +7,8 @@ use crate::clock::NodeClocks;
 use crate::cost::NodeCommLoad;
 use crate::profiles::MachineProfile;
 use crate::trace::Trace;
+use std::borrow::Borrow;
+use std::iter;
 
 /// One pre-lowered step of an execution plan — the instruction set the
 /// machine exposes to plan lowerings (`airshed-core`'s `plan` module
@@ -60,8 +62,7 @@ impl Machine {
     /// wall time (slowest node).
     pub fn compute(&mut self, cat: PhaseCategory, per_node_work: &[f64]) -> f64 {
         assert_eq!(per_node_work.len(), self.p());
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.compute_group(cat, &group, per_node_work)
+        self.compute_on(cat.label(), cat, 0..self.p(), per_node_work.iter().copied())
     }
 
     /// Computation phase restricted to a node subgroup; only subgroup
@@ -73,7 +74,8 @@ impl Machine {
         group: &[usize],
         per_node_work: &[f64],
     ) -> f64 {
-        self.compute_labeled(cat.label(), cat, group, per_node_work)
+        assert_eq!(per_node_work.len(), group.len());
+        self.compute_on(cat.label(), cat, group, per_node_work.iter().copied())
     }
 
     /// Computation phase identified by its IR [`PhaseKind`]: the
@@ -81,14 +83,15 @@ impl Machine {
     /// kind, so the Gantt timeline cannot drift from the Figure 4
     /// breakdown. This is the entry point the plan executor uses.
     pub fn compute_phase(&mut self, kind: PhaseKind, per_node_work: &[f64]) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.compute_labeled(kind.label(), kind.category(), &group, per_node_work)
+        assert_eq!(per_node_work.len(), self.p());
+        let work = per_node_work.iter().copied();
+        self.compute_on(kind.label(), kind.category(), 0..self.p(), work)
     }
 
     /// Replicated computation identified by its IR [`PhaseKind`].
     pub fn sequential_phase(&mut self, kind: PhaseKind, work: f64) -> f64 {
-        let per_node = vec![work; self.p()];
-        self.compute_phase(kind, &per_node)
+        let work = iter::repeat(work);
+        self.compute_on(kind.label(), kind.category(), 0..self.p(), work)
     }
 
     /// Execute one pre-lowered plan step.
@@ -113,22 +116,30 @@ impl Machine {
         self.elapsed() - start
     }
 
-    fn compute_labeled(
+    /// The one computation step behind every compute and sequential
+    /// form: `group` is `0..p` for all-node steps or a subgroup's ids,
+    /// and its `i`-th node performs the `i`-th unit count of `work`.
+    fn compute_on<G, W>(
         &mut self,
         label: &'static str,
         cat: PhaseCategory,
-        group: &[usize],
-        per_node_work: &[f64],
-    ) -> f64 {
-        assert_eq!(per_node_work.len(), group.len());
+        group: G,
+        work: W,
+    ) -> f64
+    where
+        G: IntoIterator + Clone,
+        G::Item: Borrow<usize>,
+        W: IntoIterator<Item = f64>,
+    {
         let start = self
-            .clocks_group_max(group)
-            .max(self.clocks_group_min(group));
+            .clocks_group_max(group.clone())
+            .max(self.clocks_group_min(group.clone()));
         // All members must reach the phase start before working (phases
         // begin after the previous barrier, so clocks are already equal
         // within a group in normal operation).
-        for (&n, &w) in group.iter().zip(per_node_work) {
-            self.clocks.advance(n, self.profile.compute_seconds(w));
+        for (n, w) in group.clone().into_iter().zip(work) {
+            self.clocks
+                .advance(*n.borrow(), self.profile.compute_seconds(w));
         }
         let end = self.clocks.barrier_group(group);
         let dt = end - start;
@@ -141,22 +152,20 @@ impl Machine {
     /// the same `work`, so the phase costs `work/rate` regardless of the
     /// group size — the paper's constant I/O processing time.
     pub fn sequential_group(&mut self, cat: PhaseCategory, group: &[usize], work: f64) -> f64 {
-        let per_node = vec![work; group.len()];
-        self.compute_group(cat, group, &per_node)
+        self.compute_on(cat.label(), cat, group, iter::repeat(work))
     }
 
     /// Sequential computation over all nodes.
     pub fn sequential(&mut self, cat: PhaseCategory, work: f64) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.sequential_group(cat, &group, work)
+        self.compute_on(cat.label(), cat, 0..self.p(), iter::repeat(work))
     }
 
     /// Run a communication (redistribution) phase over all nodes, with a
     /// per-node load vector, attributing the cost to `Communication` and
     /// logging it under `label`. Returns the phase wall time.
     pub fn communicate(&mut self, label: &'static str, loads: &[NodeCommLoad]) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.communicate_group(label, &group, loads)
+        assert_eq!(loads.len(), self.p());
+        self.communicate_on(label, 0..self.p(), loads)
     }
 
     /// Communication phase within a node subgroup.
@@ -167,9 +176,20 @@ impl Machine {
         loads: &[NodeCommLoad],
     ) -> f64 {
         assert_eq!(loads.len(), group.len());
-        let start = self.clocks_group_max(group);
-        for (&n, load) in group.iter().zip(loads) {
-            self.clocks.advance(n, self.profile.comm_cost(load));
+        self.communicate_on(label, group, loads)
+    }
+
+    /// The one communication step behind [`Machine::communicate`] and
+    /// [`Machine::communicate_group`]; `loads[i]` is the `i`-th node's.
+    fn communicate_on<G>(&mut self, label: &'static str, group: G, loads: &[NodeCommLoad]) -> f64
+    where
+        G: IntoIterator + Clone,
+        G::Item: Borrow<usize>,
+    {
+        let start = self.clocks_group_max(group.clone());
+        for (n, load) in group.clone().into_iter().zip(loads) {
+            self.clocks
+                .advance(*n.borrow(), self.profile.comm_cost(load));
         }
         let end = self.clocks.barrier_group(group);
         let dt = end - start;
@@ -185,17 +205,25 @@ impl Machine {
         self.clocks.max()
     }
 
-    fn clocks_group_max(&self, group: &[usize]) -> f64 {
+    fn clocks_group_max<G>(&self, group: G) -> f64
+    where
+        G: IntoIterator,
+        G::Item: Borrow<usize>,
+    {
         group
-            .iter()
-            .map(|&n| self.clocks.time(n))
+            .into_iter()
+            .map(|n| self.clocks.time(*n.borrow()))
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    fn clocks_group_min(&self, group: &[usize]) -> f64 {
+    fn clocks_group_min<G>(&self, group: G) -> f64
+    where
+        G: IntoIterator,
+        G::Item: Borrow<usize>,
+    {
         group
-            .iter()
-            .map(|&n| self.clocks.time(n))
+            .into_iter()
+            .map(|n| self.clocks.time(*n.borrow()))
             .fold(f64::INFINITY, f64::min)
     }
 }

@@ -27,10 +27,17 @@ if [[ "$check" == 1 ]]; then
     echo "==> kernel medians (gate run 1) -> $out/current.json"
     cargo run --release -p airshed-bench --bin bench_kernels -- "$out/current.json"
     echo "==> gate vs BENCH_baseline.json"
-    if cargo run --release -q -p airshed-bench --bin bench_check -- \
-            BENCH_baseline.json "$out/current.json"; then
+    status=0
+    cargo run --release -q -p airshed-bench --bin bench_check -- \
+        BENCH_baseline.json "$out/current.json" || status=$?
+    if [[ "$status" == 0 ]]; then
         echo "==> bench check passed"
         exit 0
+    elif [[ "$status" != 1 ]]; then
+        # 2: refused (another host) or unreadable input; re-measuring
+        # on the same host cannot change that.
+        echo "==> bench check could not compare; not re-measuring" >&2
+        exit "$status"
     fi
     echo "==> first comparison regressed; re-measuring once to rule out noise"
     cargo run --release -p airshed-bench --bin bench_kernels -- "$out/current2.json"

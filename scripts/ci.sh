@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, release build, full test suite (doctests
-# included), a warning-free clippy pass (all targets, benches included),
+# CI gate: formatting, release build, every test of every workspace
+# crate (unit, integration and doctests), a warning-free clippy pass
+# (all targets, benches included),
 # a 2-thread backend smoke run, an observability smoke run (the trace
 # must be loadable JSON with spans for every phase), and warning-free
 # rustdoc.
@@ -13,11 +14,11 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test --doc --workspace -q"
-cargo test --doc --workspace -q
+# The whole workspace, not just the facade package: every crate's unit
+# tests, crates/*/tests (planner, machine and plan proptests, server
+# stress, wire decoders) and all doctests.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -63,7 +64,17 @@ if cargo run --release -q -p airshed-bench --bin bench_check -- \
     echo "bench gate FAILED to flag an injected 2x slowdown" >&2
     exit 1
 fi
-echo "bench gate OK: clean tree passes, injected slowdown fails"
+# ... and numbers from another host must be refused (exit 2), not
+# gated: a differing physical thread count is enough.
+status=0
+cargo run --release -q -p airshed-bench --bin bench_check -- \
+    BENCH_baseline.json BENCH_kernels.json \
+    --inject host_physical_threads=2.0 || status=$?
+if [[ "$status" != 2 ]]; then
+    echo "bench gate FAILED to refuse a cross-host comparison (exit $status)" >&2
+    exit 1
+fi
+echo "bench gate OK: clean tree passes, injected slowdown fails, other host refused"
 
 echo "==> fabric multi-process smoke (1 front-end + 2 shards, kill one mid-run)"
 # Single-process reference fingerprints for the same 16-job batch ...
